@@ -2,16 +2,19 @@ package checkpoint
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
+
+	"critload/internal/blobstore"
 )
+
+// The framing, validate-on-read and eviction robustness suite lives in
+// internal/blobstore; these tests cover what the checkpoint wrapper adds:
+// index naming, the Meta header, Best's budget selection and the stats view.
 
 func testKey(b byte) Key {
 	var k Key
@@ -32,6 +35,9 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(key, meta, payload); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), key.String()+".k000003.ckpt")); err != nil {
+		t.Fatalf("checkpoint not stored as <key>.k<index>.ckpt: %v", err)
+	}
 	if !s.Has(key, 3) {
 		t.Fatal("Has(3) = false after Save")
 	}
@@ -45,8 +51,11 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if m != meta || !bytes.Equal(p, payload) {
 		t.Fatalf("Load = %+v %q, want %+v %q", m, p, meta, payload)
 	}
-	if _, _, err := s.Load(key, 9); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Load(key, 9); !errors.Is(err, blobstore.ErrNotFound) {
 		t.Fatalf("Load(9) = %v, want ErrNotFound", err)
+	}
+	if format.Sync {
+		t.Fatal("checkpoint saves must not fsync: sweeps write hundreds of MB of them")
 	}
 }
 
@@ -92,44 +101,38 @@ func TestStoreBestPicksDeepestValid(t *testing.T) {
 	if _, _, ok := s.Best(testKey(3), 0, 0); ok {
 		t.Fatal("Best under a foreign key returned a checkpoint")
 	}
+	// Budget-excluded boundaries stay on disk for larger-budget runs.
+	if !s.Has(key, 3) {
+		t.Fatal("Best removed a valid checkpoint that merely exceeded the budget")
+	}
 	st := s.Stats()
-	if st.Hits != 3 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 3 hits / 2 misses", st)
-	}
-}
-
-// corruptFile flips one byte inside the payload region of a stored file.
-func corruptFile(t *testing.T, path string) {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-40] ^= 0xFF // inside payload (ahead of the 32-byte hash)
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
+	if st.Hits != 3 || st.Misses != 2 || st.Saves != 3 || st.Files != 3 {
+		t.Fatalf("stats = %+v, want 3 hits / 2 misses / 3 saves / 3 files", st)
 	}
 }
 
 func TestStoreDropsCorruptFilesAndFallsBack(t *testing.T) {
 	s, _ := Open(t.TempDir(), 0)
 	key := testKey(4)
-	good := []byte("good-payload-good-payload-good-payload")
-	bad := []byte("bad-payload-bad-payload-bad-payload-bad")
+	good := []byte("good-payload")
 	if err := s.Save(key, Meta{Index: 1, Cycle: 10}, good); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(key, Meta{Index: 2, Cycle: 20}, bad); err != nil {
+	if err := s.Save(key, Meta{Index: 2, Cycle: 20}, []byte("bad-payload")); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, filepath.Join(s.Dir(), fileName(key, 2)))
+	path := filepath.Join(s.Dir(), key.String()+".k000002.ckpt")
+	b, _ := os.ReadFile(path)
+	b[len(b)-40] ^= 0xFF // inside the payload, ahead of the 32-byte hash
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Best must skip the corrupt deepest file and land on index 1.
 	m, p, ok := s.Best(key, 0, 0)
 	if !ok || m.Index != 1 || !bytes.Equal(p, good) {
 		t.Fatalf("Best over corrupt store = %+v ok=%v", m, ok)
 	}
-	// The corrupt file was deleted, not left to poison future loads.
 	if s.Has(key, 2) {
 		t.Fatal("corrupt file survived Best")
 	}
@@ -138,45 +141,56 @@ func TestStoreDropsCorruptFilesAndFallsBack(t *testing.T) {
 	}
 }
 
+// TestStoreDropsTruncatedFiles covers the wrapper's own validation: an
+// intact frame whose payload is too short for the Meta header, or whose
+// Meta names another boundary than the file name, is dropped as corrupt.
 func TestStoreDropsTruncatedFiles(t *testing.T) {
-	s, _ := Open(t.TempDir(), 0)
+	dir := t.TempDir()
+	s, _ := Open(dir, 0)
 	key := testKey(5)
-	if err := s.Save(key, Meta{Index: 1, Cycle: 10}, []byte("payload")); err != nil {
+	blobs, err := blobstore.Open(dir, format, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Dir(), fileName(key, 1))
-	b, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+	if err := blobs.Put(blobName(key, 1), []byte("short")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Load(key, 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load truncated = %v, want ErrCorrupt", err)
+	if err := blobs.Put(blobName(key, 2), Meta{Index: 7}.encode()); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{1, 2} {
+		if _, _, err := s.Load(key, idx); !errors.Is(err, blobstore.ErrCorrupt) {
+			t.Fatalf("Load(%d) = %v, want ErrCorrupt", idx, err)
+		}
+		if s.Has(key, idx) {
+			t.Fatalf("invalid checkpoint %d survived Load", idx)
+		}
 	}
 	if _, _, ok := s.Best(key, 0, 0); ok {
-		t.Fatal("Best returned a truncated checkpoint")
+		t.Fatal("Best returned an invalid checkpoint")
+	}
+	if st := s.Stats(); st.Dropped != 2 {
+		t.Fatalf("Dropped = %d, want 2", st.Dropped)
 	}
 }
 
-// sealVersion rewrites a framed file's version field and re-seals the
-// integrity hash, simulating an intact file written by a different codec.
-func sealVersion(b []byte, v uint32) []byte {
-	binary.LittleEndian.PutUint32(b[len(magic):], v)
-	sum := sha256.Sum256(b[:len(b)-sha256.Size])
-	copy(b[len(b)-sha256.Size:], sum[:])
-	return b
-}
-
+// TestStoreDropsVersionMismatch checks that bumping Version retires every
+// checkpoint written under the previous payload layout.
 func TestStoreDropsVersionMismatch(t *testing.T) {
-	s, _ := Open(t.TempDir(), 0)
+	dir := t.TempDir()
 	key := testKey(6)
-	path := filepath.Join(s.Dir(), fileName(key, 1))
-	sealed := sealVersion(encodeFile(Meta{Index: 1, Cycle: 10}, []byte("payload")), Version+1)
-	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+	old := format
+	old.Version = Version - 1
+	blobs, err := blobstore.Open(dir, old, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, _, err := s.Load(key, 1); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Load future-version = %v, want ErrVersion", err)
+	if err := blobs.Put(blobName(key, 1), Meta{Index: 1, Cycle: 10}.encode(), []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := Open(dir, 0)
+	if _, _, err := s.Load(key, 1); !errors.Is(err, blobstore.ErrVersion) {
+		t.Fatalf("Load old-version = %v, want ErrVersion", err)
 	}
 	if s.Has(key, 1) {
 		t.Fatal("version-mismatched file survived Load")
@@ -185,7 +199,7 @@ func TestStoreDropsVersionMismatch(t *testing.T) {
 
 func TestStoreEvictsLRUOverBudget(t *testing.T) {
 	payload := make([]byte, 1024)
-	// Budget fits roughly two files (payload + ~120 bytes of framing each).
+	// Budget fits roughly two files (payload + ~90 bytes of framing each).
 	s, err := Open(t.TempDir(), 2400)
 	if err != nil {
 		t.Fatal(err)
@@ -195,20 +209,12 @@ func TestStoreEvictsLRUOverBudget(t *testing.T) {
 		if err := s.Save(key, Meta{Index: i, Cycle: int64(i)}, payload); err != nil {
 			t.Fatal(err)
 		}
-		// Distinct mtimes so LRU order is well-defined on coarse filesystems.
-		now := time.Now().Add(time.Duration(i) * time.Second)
-		os.Chtimes(filepath.Join(s.Dir(), fileName(key, i)), now, now)
 	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with 3×~1.1KB files under a 2.4KB budget: %+v", st)
+	if st := s.Stats(); st.Evictions == 0 || st.Bytes > 2400 {
+		t.Fatalf("budget not enforced: %+v", st)
 	}
-	if st.Bytes > 2400 {
-		t.Fatalf("store over budget after eviction: %+v", st)
-	}
-	// The newest file must survive.
 	if !s.Has(key, 3) {
-		t.Fatal("most recent checkpoint was evicted")
+		t.Fatal("the checkpoint just saved was evicted")
 	}
 }
 
@@ -222,18 +228,21 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			key := testKey(byte(g % 3))
 			for i := 1; i <= 20; i++ {
 				m := Meta{Index: i, Cycle: int64(100 * i), WarpInsts: uint64(10 * i)}
-				if err := s.Save(key, m, []byte(fmt.Sprintf("payload-%d-%d", g, i))); err != nil {
+				if err := s.Save(key, m, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 					t.Errorf("Save: %v", err)
 					return
 				}
-				if m, _, ok := s.Best(key, 0, 0); ok && m.Index < 1 {
-					t.Errorf("Best returned index %d", m.Index)
+				if got, p, ok := s.Best(key, 0, 0); ok && string(p) != fmt.Sprintf("payload-%d", got.Index) {
+					t.Errorf("Best returned index %d with payload %q", got.Index, p)
 					return
 				}
-				s.NoteWarmStart(int64(i))
+				s.NoteWarmStart(1)
 				_ = s.Stats()
 			}
 		}(g)
 	}
 	wg.Wait()
+	if st := s.Stats(); st.CyclesSkipped != 8*20 || st.Hits+st.Misses != 8*20 {
+		t.Fatalf("stats = %+v", st)
+	}
 }

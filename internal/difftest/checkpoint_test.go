@@ -1,6 +1,10 @@
 package difftest
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"critload/internal/checkpoint"
@@ -43,7 +47,10 @@ var ckptEngines = []struct {
 // must reproduce its own cold run byte-for-byte (collector, cycle counts,
 // verified outputs). Sharing one store across engines also proves checkpoints
 // written by one engine restore correctly under another — the prefix key
-// deliberately ignores engine selection.
+// deliberately ignores engine selection. The engine subtests resume from the
+// deepest boundary; the boundaries subtest resumes the fast-forward engine
+// from every stored boundary k in turn, which is where host writes between
+// launches meet the restored state.
 func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload sweep; skipped in -short mode")
@@ -109,6 +116,63 @@ func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 			if st := store.Stats(); st.Hits == 0 || st.CyclesSkipped == 0 {
 				t.Fatalf("store never warm-started a run: %+v", st)
 			}
+
+			t.Run("boundaries", func(t *testing.T) {
+				resumeFromEveryBoundary(t, name, base, store.Dir())
+			})
 		})
+	}
+}
+
+// resumeFromEveryBoundary resumes a fast-forward run of workload name from
+// each checkpoint boundary k stored in dir, through a fresh store holding
+// only boundaries 1..k, and requires each resumed run to match the cold run.
+func resumeFromEveryBoundary(t *testing.T, name string, base experiments.Options, dir string) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no checkpoints in %s (%v)", dir, err)
+	}
+	index := func(path string) int {
+		ext := filepath.Ext(strings.TrimSuffix(path, ".ckpt")) // ".k000007"
+		k, err := strconv.Atoi(strings.TrimPrefix(ext, ".k"))
+		if err != nil {
+			t.Fatalf("checkpoint file %s has no boundary index", path)
+		}
+		return k
+	}
+	ref, err := experiments.RunTiming(name, base)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	for k := 1; k <= len(files); k++ {
+		fresh := t.TempDir()
+		for _, f := range files {
+			if index(f) > k {
+				continue
+			}
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(fresh, filepath.Base(f)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store, err := checkpoint.Open(fresh, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := base
+		warm.Checkpoints = store
+		got, err := experiments.RunTiming(name, warm)
+		if err != nil {
+			t.Fatalf("resume from boundary %d: %v", k, err)
+		}
+		if got.WarmStartIndex != k {
+			t.Fatalf("resume from boundary %d started at %d", k, got.WarmStartIndex)
+		}
+		if diffs := experiments.DiffRuns(ref, got); len(diffs) > 0 {
+			t.Errorf("resume from boundary %d of %d diverges from cold:\n%s", k, len(files), diffs[0])
+		}
 	}
 }

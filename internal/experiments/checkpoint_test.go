@@ -18,6 +18,7 @@ func TestPrefixKeyInvariants(t *testing.T) {
 	neutral := map[string]func(*gpu.Config){
 		"fastforward": func(c *gpu.Config) { c.FastForward = !c.FastForward },
 		"parallel":    func(c *gpu.Config) { c.Parallel = true; c.Workers = 8 },
+		"adaptive":    func(c *gpu.Config) { c.Parallel = true; c.Adaptive = true; c.AdaptiveThreshold = 2 },
 		"max-cycles":  func(c *gpu.Config) { c.MaxCycles = 123 },
 		"max-insts":   func(c *gpu.Config) { c.MaxWarpInsts = 456 },
 	}

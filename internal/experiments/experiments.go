@@ -66,22 +66,12 @@ func (o Options) names() []string {
 }
 
 // DefaultMaxCycles is the timing-run cycle bound applied when Options
-// leaves MaxCycles zero: generous enough for complete paper-scale runs,
-// finite so a livelocked simulation cannot hang a sweep.
-const DefaultMaxCycles = 500_000_000
+// leaves MaxCycles zero (see gpu.Resolve).
+const DefaultMaxCycles = gpu.DefaultMaxCycles
 
+// gpuConfig is the device configuration of this sweep's timing runs.
 func (o Options) gpuConfig() gpu.Config {
-	cfg := gpu.DefaultConfig()
-	if o.GPU != nil {
-		cfg = *o.GPU
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = DefaultMaxCycles
-	}
-	if o.MaxCycles > 0 {
-		cfg.MaxCycles = o.MaxCycles
-	}
-	return cfg
+	return gpu.Resolve(o.GPU, o.MaxCycles, o.MaxWarpInsts)
 }
 
 // Run bundles the statistics of one workload execution.
@@ -289,7 +279,6 @@ func runTimingInst(ctx context.Context, w *workloads.Workload, inst *workloads.I
 func runTimingCold(ctx context.Context, w *workloads.Workload, inst *workloads.Instance, opts Options) (*Run, error) {
 	col := stats.New()
 	cfg := opts.gpuConfig()
-	cfg.MaxWarpInsts = opts.MaxWarpInsts
 	g := gpu.MustNew(cfg, inst.Mem, col)
 	if opts.Tracer != nil {
 		g.SetTracer(opts.Tracer)

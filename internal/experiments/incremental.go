@@ -78,7 +78,6 @@ func runTimingCheckpointed(ctx context.Context, w *workloads.Workload, inst *wor
 	store := opts.Checkpoints
 	col := stats.New()
 	cfg := opts.gpuConfig()
-	cfg.MaxWarpInsts = opts.MaxWarpInsts
 	key := prefixKey(w.Name, opts.Size, opts.Seed, cfg)
 	target, blob, warm := store.Best(key, opts.MaxWarpInsts, cfg.MaxCycles)
 	g := gpu.MustNew(cfg, inst.Mem, col)
@@ -91,30 +90,33 @@ func runTimingCheckpointed(ctx context.Context, w *workloads.Workload, inst *wor
 			return err
 		}
 		if warm && !restored {
-			if i < target.Index {
-				// Skip phase: restore the boundary this launch would produce,
-				// so the host sees exact timing-engine memory between
-				// launches. Bridge eviction holes with a functional replay
-				// (no listener, no statistics) — memory stays correct for
-				// every workload whose inter-launch reads are
-				// schedule-insensitive, and the resume guard below catches
-				// the rest.
-				if _, b, err := store.Load(key, i+1); err == nil {
-					if err := g.Restore(b); err != nil {
-						return &warmStartError{stage: "restore", err: err}
-					}
-					return nil
+			// Skip phase: launch i is covered by restoring the boundary it
+			// produces, before the host's writes for launch i+1 run. The
+			// last skipped launch restores the target itself.
+			if i == target.Index-1 {
+				if err := g.Restore(blob); err != nil {
+					return &warmStartError{stage: "restore", err: err}
 				}
-				if _, err := emu.Run(&emu.Env{Mem: inst.Mem, Launch: l}, emu.RunOptions{}); err != nil {
-					return &warmStartError{stage: "replay", err: err}
+				restored = true
+				store.NoteWarmStart(target.Cycle)
+				return nil
+			}
+			// Intermediate boundaries give the host exact timing-engine
+			// memory between launches. Bridge eviction holes with a
+			// functional replay (no listener, no statistics) — memory stays
+			// correct for every workload whose inter-launch reads are
+			// schedule-insensitive, and the resume guard below catches the
+			// rest.
+			if _, b, err := store.Load(key, i+1); err == nil {
+				if err := g.Restore(b); err != nil {
+					return &warmStartError{stage: "restore", err: err}
 				}
 				return nil
 			}
-			if err := g.Restore(blob); err != nil {
-				return &warmStartError{stage: "restore", err: err}
+			if _, err := emu.Run(&emu.Env{Mem: inst.Mem, Launch: l}, emu.RunOptions{}); err != nil {
+				return &warmStartError{stage: "replay", err: err}
 			}
-			restored = true
-			store.NoteWarmStart(target.Cycle)
+			return nil
 		}
 		if opts.Progress != nil {
 			opts.Progress(g.Cycle(), col.WarpInsts)
@@ -148,18 +150,8 @@ func runTimingCheckpointed(ctx context.Context, w *workloads.Workload, inst *wor
 		return nil, fmt.Errorf("experiments: %s timing run: %w", w.Name, err)
 	}
 	if warm && !restored {
-		// The checkpoint sits at the run's final boundary: every launch was
-		// replayed functionally and the restore now yields the complete
-		// result (collector, cycle counts, and memory all at end-of-run).
-		if idx != target.Index {
-			return nil, &warmStartError{stage: "resume", err: fmt.Errorf(
-				"launch sequence ended at boundary %d before checkpoint %d", idx, target.Index)}
-		}
-		if err := g.Restore(blob); err != nil {
-			return nil, &warmStartError{stage: "restore", err: err}
-		}
-		restored = true
-		store.NoteWarmStart(target.Cycle)
+		return nil, &warmStartError{stage: "resume", err: fmt.Errorf(
+			"launch sequence ended at boundary %d before checkpoint %d", idx, target.Index)}
 	}
 	if opts.Progress != nil {
 		opts.Progress(g.Cycle(), col.WarpInsts)

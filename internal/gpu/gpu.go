@@ -117,6 +117,32 @@ func DefaultConfig() Config {
 	}
 }
 
+// DefaultMaxCycles is the cycle bound Resolve applies when neither the
+// configuration nor the run sets one: generous enough for complete
+// paper-scale runs, finite so a livelocked simulation cannot hang a sweep.
+const DefaultMaxCycles = 500_000_000
+
+// Resolve decides the one configuration a run simulates, and with it the
+// run's identity: a nil cfg means Table II, maxCycles > 0 overrides
+// cfg.MaxCycles and a remaining 0 becomes DefaultMaxCycles, and
+// maxWarpInsts replaces cfg.MaxWarpInsts. Run paths and cache keys both
+// derive their configuration here, so every spelling of a run that
+// resolves to the same machine and budgets shares one identity.
+func Resolve(cfg *Config, maxCycles int64, maxWarpInsts uint64) Config {
+	c := DefaultConfig()
+	if cfg != nil {
+		c = *cfg
+	}
+	if maxCycles > 0 {
+		c.MaxCycles = maxCycles
+	}
+	if c.MaxCycles == 0 {
+		c.MaxCycles = DefaultMaxCycles
+	}
+	c.MaxWarpInsts = maxWarpInsts
+	return c
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.NumSMs <= 0 || c.NumPartitions <= 0 {

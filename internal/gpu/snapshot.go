@@ -10,17 +10,19 @@ import (
 const snapTag = 0x47505530 // "GPU0"
 
 // Arch returns the configuration with every field that provably cannot
-// change simulated state cleared: the engine selection (serial, fast-forward
-// and parallel engines are byte-identical by the differential-testing
-// contract) and the run-length budgets (a checkpoint's validity against a
-// budget is checked when it is loaded, not baked into its identity). Two
-// configurations with equal Arch() produce identical state at every
-// kernel-launch boundary, which is what makes Arch() the right ingredient
-// for checkpoint prefix keys.
+// change simulated state cleared: the engine selection (serial, fast-forward,
+// parallel and adaptive engines are byte-identical by the
+// differential-testing contract) and the run-length budgets (a checkpoint's
+// validity against a budget is checked when it is loaded, not baked into its
+// identity). Two configurations with equal Arch() produce identical state
+// at every kernel-launch boundary, which is what makes Arch() the right
+// ingredient for checkpoint prefix keys and timing result keys.
 func (c Config) Arch() Config {
 	c.FastForward = false
 	c.Parallel = false
 	c.Workers = 0
+	c.Adaptive = false
+	c.AdaptiveThreshold = 0
 	c.MaxCycles = 0
 	c.MaxWarpInsts = 0
 	return c

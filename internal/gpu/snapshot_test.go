@@ -90,6 +90,8 @@ func TestArchClearsEngineAndBudgetFields(t *testing.T) {
 	varied.FastForward = true
 	varied.Parallel = true
 	varied.Workers = 8
+	varied.Adaptive = true
+	varied.AdaptiveThreshold = 5
 	varied.MaxCycles = 123
 	varied.MaxWarpInsts = 456
 	if base.Arch() != varied.Arch() {

@@ -92,20 +92,31 @@ type keyMaterial struct {
 	GPU          *gpu.Config `json:"gpu,omitempty"`
 }
 
-// Key derives the spec's content address. Functional runs ignore the timing
-// machinery, so their keys deliberately exclude the instruction budget and
-// GPU configuration: a functional result is reusable across those knobs.
+// keySchema prefixes the hashed key material. Bump it whenever what a key
+// means changes: results stored under the old meaning are then simply
+// never addressed again (misses, not corruption).
+const keySchema = "critload/result-key/v2\n"
+
+// Key derives the spec's content address. A timing spec is keyed on its
+// resolved run (gpu.Resolve, the function the simulator itself uses): the
+// architectural configuration plus the effective budgets, so a nil GPU and
+// an explicit Table II, any engine selection, and MaxCycles 0 and the
+// default all share one key. Functional runs ignore the timing machinery,
+// so their keys deliberately exclude the budgets and GPU configuration: a
+// functional result is reusable across those knobs.
 func (s Spec) Key() Key {
 	m := keyMaterial{Workload: s.Workload, Mode: s.Mode, Size: s.Size, Seed: s.Seed}
 	if s.Mode == ModeTiming {
-		m.MaxWarpInsts = s.MaxWarpInsts
-		m.MaxCycles = s.MaxCycles
-		m.GPU = s.GPU
+		cfg := gpu.Resolve(s.GPU, s.MaxCycles, s.MaxWarpInsts)
+		arch := cfg.Arch()
+		m.MaxWarpInsts = cfg.MaxWarpInsts
+		m.MaxCycles = cfg.MaxCycles
+		m.GPU = &arch
 	}
 	b, err := json.Marshal(m)
 	if err != nil {
 		// keyMaterial is plain data; marshalling cannot fail.
 		panic(fmt.Sprintf("jobs: key material: %v", err))
 	}
-	return sha256.Sum256(b)
+	return sha256.Sum256(append([]byte(keySchema), b...))
 }

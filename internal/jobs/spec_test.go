@@ -37,8 +37,8 @@ func TestSpecKeyDerivation(t *testing.T) {
 			base, with(base, func(s *Spec) { s.MaxWarpInsts = 100 }), false},
 		{"different cycle bound",
 			base, with(base, func(s *Spec) { s.MaxCycles = 1000 }), false},
-		{"explicit default GPU differs from nil",
-			base, with(base, func(s *Spec) { s.GPU = &cfg }), false},
+		{"explicit default GPU same as nil",
+			base, with(base, func(s *Spec) { s.GPU = &cfg }), true},
 		{"different GPU configs",
 			with(base, func(s *Spec) { s.GPU = &cfg }),
 			with(base, func(s *Spec) { s.GPU = &bigger }), false},
@@ -88,9 +88,11 @@ func TestSpecValidate(t *testing.T) {
 
 // TestSpecKeyGoldenHashes pins exact digests for canonical specs. Cache
 // keys address both the in-memory cache and the on-disk result store, so
-// any change to keyMaterial — a renamed JSON tag, a reordered field, a
-// newly-included knob — silently orphans every persisted result. This test
-// turns that silent invalidation into a loud, deliberate decision.
+// any change to keyMaterial or to keySchema — a renamed JSON tag, a
+// reordered field, a newly-included knob — orphans every persisted result.
+// This test turns that invalidation into a loud, deliberate decision; the
+// hashes were last regenerated for result-key schema v2 (timing keys on the
+// resolved configuration).
 func TestSpecKeyGoldenHashes(t *testing.T) {
 	cfg := gpu.DefaultConfig()
 	golden := []struct {
@@ -98,13 +100,13 @@ func TestSpecKeyGoldenHashes(t *testing.T) {
 		want string
 	}{
 		{Spec{Workload: "bfs", Mode: ModeFunctional, Size: 1024, Seed: 7},
-			"42c42b6cdde2bf58fe45c853e44bba973441778f8c1a3d4e0e266cfca59f7591"},
+			"03821bc87ab6b4d2bb2d2aa731e8112d3cdbde00e028b9a7cec9379d1908b49d"},
 		{Spec{Workload: "srad", Mode: ModeTiming, Size: 32, Seed: 3},
-			"3d40d0d7b4fbc7eea13e8f8da834a3d9cf6a4e6b77b7a8401ac4a8cfb7699f38"},
+			"61bcce0f1e7853e6fcc64baf5c3fa626343f4c6f51be4377f04439fc659ecde7"},
 		{Spec{Workload: "2mm", Mode: ModeTiming, Size: 64, Seed: 1, MaxWarpInsts: 400_000, MaxCycles: 1_000_000},
-			"123dc40739d550d6ea748f2ab900f7014d2b564b82a4fcf2d77d67149b7e736a"},
+			"81c2c2500f146b26e7353cf677286aeedc28472cb87d51760ead0168af78d62f"},
 		{Spec{Workload: "sssp", Mode: ModeTiming, Size: 512, Seed: 9, GPU: &cfg},
-			"7c90f3b02dbbaae591a9c9f07b6bb27b76810e3289ad89f67a5dc5a62a9c6ef8"},
+			"a93e9acbc57597e6938c05bd185814fceabddc46450e5f6d8c875eb3cafb3801"},
 	}
 	for _, g := range golden {
 		if got := g.spec.Key().String(); got != g.want {

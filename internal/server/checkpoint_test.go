@@ -3,11 +3,8 @@ package server_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"testing"
 	"time"
 
@@ -96,31 +93,20 @@ func TestJobsReuseCheckpoints(t *testing.T) {
 			cold.Cycles, cold.Summary.WarpInsts, warm.Cycles, warm.Summary.WarpInsts)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	text := string(b)
+	text := scrapeMetrics(t, ts.URL)
 	for metric, wantPositive := range map[string]bool{
-		"critloadd_checkpoint_hits_total":           true,
-		"critloadd_checkpoint_misses_total":         false,
-		"critloadd_checkpoint_saves_total":          true,
-		"critloadd_checkpoint_evictions_total":      false,
-		"critloadd_checkpoint_dropped_total":        false,
-		"critloadd_checkpoint_cycles_skipped_total": true,
-		"critloadd_checkpoint_files":                true,
-		"critloadd_checkpoint_disk_bytes":           true,
+		`critloadd_store_hits_total{store="checkpoints"}`:      true,
+		`critloadd_store_misses_total{store="checkpoints"}`:    false,
+		`critloadd_store_puts_total{store="checkpoints"}`:      true,
+		`critloadd_store_evictions_total{store="checkpoints"}`: false,
+		`critloadd_store_dropped_total{store="checkpoints"}`:   false,
+		"critloadd_checkpoint_cycles_skipped_total":            true,
+		`critloadd_store_files{store="checkpoints"}`:           true,
+		`critloadd_store_disk_bytes{store="checkpoints"}`:      true,
 	} {
-		m := regexp.MustCompile(`(?m)^` + metric + ` (\S+)$`).FindStringSubmatch(text)
-		if m == nil {
+		v, ok := metricValue(text, metric)
+		if !ok {
 			t.Errorf("metrics output missing %s:\n%s", metric, text)
-			continue
-		}
-		v, err := strconv.ParseFloat(m[1], 64)
-		if err != nil {
-			t.Errorf("%s = %q: %v", metric, m[1], err)
 			continue
 		}
 		if wantPositive && v <= 0 {

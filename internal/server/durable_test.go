@@ -106,16 +106,16 @@ func TestDurableMetricsFamilies(t *testing.T) {
 		"critloadd_journal_segments":                     true,
 		"critloadd_journal_disk_bytes":                   true,
 		"critloadd_jobs_recovered_total":                 false,
-		"critloadd_resultstore_puts_total":               true,
-		"critloadd_resultstore_hits_total":               false,
+		`critloadd_store_puts_total{store="results"}`:    true,
+		`critloadd_store_hits_total{store="results"}`:    false,
 		"critloadd_resultstore_disk_hits_total":          false,
 		// A never-seen spec probes the disk store before executing, so the
 		// one submission records one miss.
-		"critloadd_resultstore_misses_total":    true,
-		"critloadd_resultstore_evictions_total": false,
-		"critloadd_resultstore_dropped_total":   false,
-		"critloadd_resultstore_files":           true,
-		"critloadd_resultstore_disk_bytes":      true,
+		`critloadd_store_misses_total{store="results"}`:    true,
+		`critloadd_store_evictions_total{store="results"}`: false,
+		`critloadd_store_dropped_total{store="results"}`:   false,
+		`critloadd_store_files{store="results"}`:           true,
+		`critloadd_store_disk_bytes{store="results"}`:      true,
 	} {
 		v, ok := metricValue(text, metric)
 		if !ok {
@@ -181,7 +181,7 @@ func TestDurableRestartServesHistory(t *testing.T) {
 
 // metricValue extracts one metric's value from a /metrics scrape.
 func metricValue(text, metric string) (float64, bool) {
-	m := regexp.MustCompile(`(?m)^` + metric + ` (\S+)$`).FindStringSubmatch(text)
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(metric) + ` (\S+)$`).FindStringSubmatch(text)
 	if m == nil {
 		return 0, false
 	}

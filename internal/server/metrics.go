@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"critload/internal/blobstore"
 	"critload/internal/checkpoint"
 	"critload/internal/jobs"
 	"critload/internal/journal"
@@ -98,43 +99,24 @@ func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, 
 		"Seconds since the server started.", nil,
 		func() float64 { return time.Since(start).Seconds() })
 
-	// Checkpoint-store effectiveness, read from the store at scrape time
-	// (Stats includes a directory walk; the store stays small by budget, so
-	// scraping it per family is cheap).
+	// Content-addressed stores, read at scrape time (Stats includes a
+	// directory scan over a budget-bounded directory). One family per
+	// counter, labelled by store, present only for configured stores.
 	if ckpts != nil {
-		snap := func(read func(checkpoint.Stats) float64) func() float64 {
-			return func() float64 { return read(ckpts.Stats()) }
-		}
-		reg.CounterFunc("critloadd_checkpoint_hits_total",
-			"Timing runs that warm-started from a stored checkpoint.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Hits) }))
-		reg.CounterFunc("critloadd_checkpoint_misses_total",
-			"Timing runs that found no usable checkpoint and ran cold.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Misses) }))
-		reg.CounterFunc("critloadd_checkpoint_saves_total",
-			"Kernel-launch boundaries serialized into the store.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Saves) }))
-		reg.CounterFunc("critloadd_checkpoint_evictions_total",
-			"Checkpoint files evicted to stay under the disk budget.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Evictions) }))
-		reg.CounterFunc("critloadd_checkpoint_dropped_total",
-			"Corrupt or version-mismatched checkpoint files deleted on read.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Dropped) }))
+		registerStore(reg, "checkpoints", ckpts.BlobStats)
 		reg.CounterFunc("critloadd_checkpoint_cycles_skipped_total",
 			"Simulated cycles inherited from checkpoints instead of re-simulated.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.CyclesSkipped) }))
-		reg.GaugeFunc("critloadd_checkpoint_files",
-			"Checkpoint files currently on disk.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Files) }))
-		reg.GaugeFunc("critloadd_checkpoint_disk_bytes",
-			"Bytes of checkpoint data currently on disk.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Bytes) }))
+			func() float64 { return float64(ckpts.Stats().CyclesSkipped) })
+	}
+	if results := mgr.Results(); results != nil {
+		registerStore(reg, "results", results.Stats)
+		reg.CounterFunc("critloadd_resultstore_disk_hits_total",
+			"Submissions answered from the on-disk result store.", nil,
+			stat(func(s jobs.Stats) float64 { return float64(s.DiskHits) }))
 	}
 
-	// Durable-tier families: write-ahead journal and on-disk result store,
-	// present only when the daemon runs with -data-dir. Like the
-	// checkpoint families these are read at scrape time; the stats calls
-	// include a directory scan over a budget-bounded directory.
+	// Write-ahead journal families, present only when the daemon runs with
+	// -data-dir; read at scrape time like the store families.
 	if jnl := mgr.Journal(); jnl != nil {
 		reg.CounterFunc("critloadd_jobs_recovered_total",
 			"Jobs rebuilt from the journal at startup.", nil,
@@ -166,35 +148,6 @@ func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, 
 		reg.GaugeFunc("critloadd_journal_disk_bytes",
 			"Bytes of journal data currently on disk.", nil,
 			jsnap(func(s journal.Stats) float64 { return float64(s.DiskBytes) }))
-	}
-	if results := mgr.Results(); results != nil {
-		rsnap := func(read func(jobs.ResultStoreStats) float64) func() float64 {
-			return func() float64 { return read(results.Stats()) }
-		}
-		reg.CounterFunc("critloadd_resultstore_hits_total",
-			"Result reads served from the on-disk store.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Hits) }))
-		reg.CounterFunc("critloadd_resultstore_disk_hits_total",
-			"Submissions answered from the on-disk result store.", nil,
-			stat(func(s jobs.Stats) float64 { return float64(s.DiskHits) }))
-		reg.CounterFunc("critloadd_resultstore_misses_total",
-			"Result reads that found nothing on disk.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Misses) }))
-		reg.CounterFunc("critloadd_resultstore_puts_total",
-			"Results persisted to the on-disk store.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Puts) }))
-		reg.CounterFunc("critloadd_resultstore_evictions_total",
-			"Result files evicted to stay under the disk budget.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Evictions) }))
-		reg.CounterFunc("critloadd_resultstore_dropped_total",
-			"Corrupt or version-mismatched result files deleted on read.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Dropped) }))
-		reg.GaugeFunc("critloadd_resultstore_files",
-			"Result files currently on disk.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Files) }))
-		reg.GaugeFunc("critloadd_resultstore_disk_bytes",
-			"Bytes of result data currently on disk.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Bytes) }))
 	}
 
 	// HTTP instrumentation.
@@ -229,6 +182,36 @@ func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, 
 	}
 	mgr.SetExecutionObserver(m.observeExecution)
 	return m
+}
+
+// registerStore exports one blob store's generic counters and gauges as
+// critloadd_store_*{store=name}.
+func registerStore(reg *obsv.Registry, name string, read func() blobstore.Stats) {
+	label := map[string]string{"store": name}
+	snap := func(field func(blobstore.Stats) float64) func() float64 {
+		return func() float64 { return field(read()) }
+	}
+	reg.CounterFunc("critloadd_store_hits_total",
+		"Store lookups that found a usable entry (checkpoints: warm starts).", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Hits) }))
+	reg.CounterFunc("critloadd_store_misses_total",
+		"Store lookups that found nothing usable.", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Misses) }))
+	reg.CounterFunc("critloadd_store_puts_total",
+		"Entries written to the store.", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Puts) }))
+	reg.CounterFunc("critloadd_store_evictions_total",
+		"Store files evicted to stay under the disk budget.", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Evictions) }))
+	reg.CounterFunc("critloadd_store_dropped_total",
+		"Corrupt or version-mismatched store files deleted on read.", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Dropped) }))
+	reg.GaugeFunc("critloadd_store_files",
+		"Store files currently on disk.", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Files) }))
+	reg.GaugeFunc("critloadd_store_disk_bytes",
+		"Bytes of store data currently on disk.", label,
+		snap(func(s blobstore.Stats) float64 { return float64(s.Bytes) }))
 }
 
 // observePTX records one /v1/ptx submission outcome.

@@ -78,7 +78,9 @@ func WithLogger(l *slog.Logger) Option {
 }
 
 // WithCheckpoints exposes a checkpoint store's effectiveness counters on
-// /metrics (critloadd_checkpoint_*). Pass the same store the runner uses.
+// /metrics (critloadd_store_*{store="checkpoints"} and
+// critloadd_checkpoint_cycles_skipped_total). Pass the same store the
+// runner uses.
 func WithCheckpoints(st *checkpoint.Store) Option {
 	return func(s *Server) { s.ckpts = st }
 }

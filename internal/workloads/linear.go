@@ -685,7 +685,8 @@ func init() {
 			indices := make([]uint32, n*ell)
 			for row := 0; row < n; row++ {
 				for kk := 0; kk < ell; kk++ {
-					col := (row + rng.Intn(band) - band/2 + n) % n
+					// Non-negative modulo: the band wraps even when n < band/2.
+					col := ((row+rng.Intn(band)-band/2)%n + n) % n
 					indices[kk*n+row] = uint32(col)
 					data[kk*n+row] = rng.Float32()
 				}

@@ -53,12 +53,13 @@ func TestAllWorkloadsFunctionallyCorrect(t *testing.T) {
 // long-run rows of BENCH_sim.json: the memory-bound generators must scale
 // to these sizes and still pass their CPU reference checks. grm/384 (the
 // 8x point, ~25s functionally) is left to cmd/bench, which verifies the
-// run via engine agreement.
+// run via engine agreement. The small spmv sizes sit below the column
+// band's half-width, where a column index could wrap negative.
 func TestMemoryBoundSizeVariants(t *testing.T) {
 	variants := []struct {
 		name string
 		size int
-	}{{"spmv", 256}, {"spmv", 512}, {"grm", 192}}
+	}{{"spmv", 1}, {"spmv", 32}, {"spmv", 95}, {"spmv", 256}, {"spmv", 512}, {"grm", 192}}
 	for _, v := range variants {
 		v := v
 		t.Run(fmt.Sprintf("%s-%d", v.name, v.size), func(t *testing.T) {
