@@ -94,6 +94,19 @@ func TestFloatALUSemantics(t *testing.T) {
 		{"cvt f32→u32", "mov.f32 %r0, 7.9;\ncvt.u32.f32 %r29, %r0;", 7},
 		{"cvt f32→s32", "mov.f32 %r0, -7.9;\ncvt.s32.f32 %r29, %r0;", uint32(0xfffffff9)},
 		{"cvt f32→u32 negative clamps", "mov.f32 %r0, -3.0;\ncvt.u32.f32 %r29, %r0;", 0},
+		// Float to integer is cvt.rzi on every host: NaN gives 0 and
+		// out-of-range values saturate.
+		{"cvt f32→s32 NaN", "mov.u32 %r0, 0x7fc00000;\ncvt.s32.f32 %r29, %r0;", 0},
+		{"cvt f32→s32 +Inf", "mov.u32 %r0, 0x7f800000;\ncvt.s32.f32 %r29, %r0;", 0x7fffffff},
+		{"cvt f32→s32 -Inf", "mov.u32 %r0, 0xff800000;\ncvt.s32.f32 %r29, %r0;", 0x80000000},
+		{"cvt f32→s32 3e9", "mov.f32 %r0, 3e9;\ncvt.s32.f32 %r29, %r0;", 0x7fffffff},
+		{"cvt f32→s32 -3e9", "mov.f32 %r0, -3e9;\ncvt.s32.f32 %r29, %r0;", 0x80000000},
+		{"cvt f32→u32 NaN", "mov.u32 %r0, 0x7fc00000;\ncvt.u32.f32 %r29, %r0;", 0},
+		{"cvt f32→u32 +Inf", "mov.u32 %r0, 0x7f800000;\ncvt.u32.f32 %r29, %r0;", 0xffffffff},
+		{"cvt f32→u32 -Inf", "mov.u32 %r0, 0xff800000;\ncvt.u32.f32 %r29, %r0;", 0},
+		{"cvt f32→u32 3e9", "mov.f32 %r0, 3e9;\ncvt.u32.f32 %r29, %r0;", 3000000000},
+		{"cvt f32→u32 -3e9", "mov.f32 %r0, -3e9;\ncvt.u32.f32 %r29, %r0;", 0},
+		{"cvt f32→u32 5e9", "mov.f32 %r0, 5e9;\ncvt.u32.f32 %r29, %r0;", 0xffffffff},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

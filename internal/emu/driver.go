@@ -68,6 +68,7 @@ func Run(env *Env, opts RunOptions) (RunResult, error) {
 const warpSlice = 64
 
 func runCTA(env *Env, cta *CTA, opts RunOptions, res *RunResult) error {
+	var step Step
 	for {
 		progressed := false
 		for _, w := range cta.Warps {
@@ -78,8 +79,7 @@ func runCTA(env *Env, cta *CTA, opts RunOptions, res *RunResult) error {
 				if w.Done() || w.AtBarrier {
 					break
 				}
-				step, err := w.Execute(env)
-				if err != nil {
+				if err := w.Execute(env, &step); err != nil {
 					return err
 				}
 				progressed = true

@@ -151,12 +151,28 @@ type Warp struct {
 	regs   []uint32 // numRegs × WarpSize, laid out reg-major
 	preds  []uint32 // one lane-bitmask per predicate register
 	stack  []stackEntry
-	// laneTid[l] is the linear thread id within the block of lane l, or -1
-	// for lanes beyond the block size.
-	laneTid [WarpSize]int
+	// tid holds the %tid.x, %tid.y and %tid.z lane vectors, fixed when the
+	// warp is created; lanes beyond the block size read 0.
+	tid [3]vec
+	// opnd[i] materializes source operand i when it is not a register:
+	// a broadcast immediate or uniform special register, or a predicate.
+	opnd [3]vec
+	// tmp receives an instruction's results when only some lanes execute.
+	tmp vec
 	// InstructionsExecuted counts warp-level instructions retired.
 	InstructionsExecuted uint64
 }
+
+// vec holds one 32-bit value per lane of a warp.
+type vec = [WarpSize]uint32
+
+// laneIDs is the %laneid vector, shared read-only by every warp.
+var laneIDs = func() (v vec) {
+	for l := range v {
+		v[l] = uint32(l)
+	}
+	return v
+}()
 
 func newWarp(l *Launch, c *CTA, index int) *Warp {
 	k := l.Kernel
@@ -167,30 +183,31 @@ func newWarp(l *Launch, c *CTA, index int) *Warp {
 		regs:   make([]uint32, k.NumRegs*WarpSize),
 		preds:  make([]uint32, k.NumPreds),
 	}
-	blockThreads := l.Block.Count()
+	// Walk the block's (x,y,z) thread coordinates from the warp's first
+	// thread, x fastest.
+	t := index * WarpSize
+	x, y, z := t%l.Block.X, t/l.Block.X%l.Block.Y, t/(l.Block.X*l.Block.Y)
 	var mask uint32
-	for lane := 0; lane < WarpSize; lane++ {
-		t := index*WarpSize + lane
-		if t < blockThreads {
-			w.laneTid[lane] = t
-			mask |= 1 << lane
-		} else {
-			w.laneTid[lane] = -1
+	for lane := 0; lane < WarpSize && t+lane < l.Block.Count(); lane++ {
+		mask |= 1 << lane
+		w.tid[0][lane], w.tid[1][lane], w.tid[2][lane] = uint32(x), uint32(y), uint32(z)
+		if x++; x == l.Block.X {
+			x = 0
+			if y++; y == l.Block.Y {
+				y, z = 0, z+1
+			}
 		}
 	}
 	w.stack = append(w.stack, stackEntry{pc: 0, rpc: len(k.Insts), mask: mask})
+	w.normalize()
 	return w
 }
 
 // Done reports whether the warp has no live lanes left.
-func (w *Warp) Done() bool {
-	w.normalize()
-	return len(w.stack) == 0
-}
+func (w *Warp) Done() bool { return len(w.stack) == 0 }
 
 // PC returns the current instruction index, or -1 when done.
 func (w *Warp) PC() int {
-	w.normalize()
 	if len(w.stack) == 0 {
 		return -1
 	}
@@ -199,7 +216,6 @@ func (w *Warp) PC() int {
 
 // ActiveMask returns the current top-of-stack active mask.
 func (w *Warp) ActiveMask() uint32 {
-	w.normalize()
 	if len(w.stack) == 0 {
 		return 0
 	}
@@ -216,7 +232,9 @@ func (w *Warp) NextInst() *isa.Instruction {
 	return w.kernel.Insts[pc]
 }
 
-// normalize pops reconverged or empty stack entries.
+// normalize pops reconverged or empty stack entries. newWarp and every
+// Execute end with it, so between instructions the top entry is always
+// live and the accessors above only read it.
 func (w *Warp) normalize() {
 	for len(w.stack) > 0 {
 		top := &w.stack[len(w.stack)-1]
@@ -228,46 +246,14 @@ func (w *Warp) normalize() {
 	}
 }
 
-// Reg returns the value of general register r in lane l.
-func (w *Warp) Reg(r, l int) uint32 { return w.regs[r*WarpSize+l] }
+// reg returns general register r as a lane vector aliasing the register
+// file.
+func (w *Warp) reg(r int) *vec { return (*vec)(w.regs[r*WarpSize:]) }
 
-// SetReg sets general register r in lane l.
-func (w *Warp) SetReg(r, l int, v uint32) { w.regs[r*WarpSize+l] = v }
-
-// Pred returns predicate register p in lane l.
-func (w *Warp) Pred(p, l int) bool { return w.preds[p]&(1<<l) != 0 }
-
-// SetPred sets predicate register p in lane l.
-func (w *Warp) SetPred(p, l int, v bool) {
-	if v {
-		w.preds[p] |= 1 << l
-	} else {
-		w.preds[p] &^= 1 << l
-	}
-}
-
-// LaneThread returns the (x,y,z) thread coordinate of lane l, or ok=false
-// for lanes beyond the block extent.
-func (w *Warp) LaneThread(l *Launch, lane int) (Dim3, bool) {
-	t := w.laneTid[lane]
-	if t < 0 {
-		return Dim3{}, false
-	}
-	x := t % l.Block.X
-	y := (t / l.Block.X) % l.Block.Y
-	z := t / (l.Block.X * l.Block.Y)
-	return Dim3{X: x, Y: y, Z: z}, true
-}
-
-func (w *Warp) sregValue(l *Launch, sr isa.SpecialReg, lane int) uint32 {
-	tc, _ := w.LaneThread(l, lane)
+// uniformSReg returns the value of a special register that is the same in
+// every lane of the warp.
+func (w *Warp) uniformSReg(l *Launch, sr isa.SpecialReg) uint32 {
 	switch sr {
-	case isa.SrTidX:
-		return uint32(tc.X)
-	case isa.SrTidY:
-		return uint32(tc.Y)
-	case isa.SrTidZ:
-		return uint32(tc.Z)
 	case isa.SrNTidX:
 		return uint32(l.Block.X)
 	case isa.SrNTidY:
@@ -286,8 +272,6 @@ func (w *Warp) sregValue(l *Launch, sr isa.SpecialReg, lane int) uint32 {
 		return uint32(l.Grid.Y)
 	case isa.SrNCtaIdZ:
 		return uint32(l.Grid.Z)
-	case isa.SrLaneId:
-		return uint32(lane)
 	case isa.SrWarpId:
 		return uint32(w.Index)
 	}

@@ -9,7 +9,7 @@ import (
 	"critload/internal/ptx"
 )
 
-func mustKernel(t *testing.T, src, name string) *ptx.Kernel {
+func mustKernel(t testing.TB, src, name string) *ptx.Kernel {
 	t.Helper()
 	prog, err := ptx.Parse(src)
 	if err != nil {

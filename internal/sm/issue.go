@@ -83,8 +83,8 @@ func (s *SM) pickWarp(sched int, now int64) *warpCtx {
 // issueWarp functionally executes the warp's next instruction and models its
 // timing consequences.
 func (s *SM) issueWarp(wc *warpCtx, now int64) error {
-	step, err := wc.w.Execute(s.env)
-	if err != nil {
+	step := &s.step
+	if err := wc.w.Execute(s.env, step); err != nil {
 		return fmt.Errorf("sm %d: %w", s.ID, err)
 	}
 	s.InstructionsIssued++
@@ -114,7 +114,7 @@ func (s *SM) issueWarp(wc *warpCtx, now int64) error {
 			s.scheduleWriteback(wc, in, now+s.cfg.SharedLat)
 		}
 	case in.Op.IsMemory():
-		s.issueGlobalMemOp(wc, &step, now)
+		s.issueGlobalMemOp(wc, step, now)
 	case in.Unit() == isa.UnitSFU:
 		s.unitBusyUntil[isa.UnitSFU] = now + s.cfg.SFUInit
 		s.scheduleWriteback(wc, in, now+s.cfg.SFULatency)

@@ -261,11 +261,13 @@ type SM struct {
 	greedy []*warpCtx
 
 	// Zero-alloc hot-path state: the device-wide request free list, a local
-	// memOp free list, a coalescer scratch slice, and the cycle of the last
-	// instruction issue (a cheap NextEvent shortcut).
+	// memOp free list, a coalescer scratch slice, the execution record the
+	// emulator fills at issue, and the cycle of the last instruction issue
+	// (a cheap NextEvent shortcut).
 	pool       *memreq.Pool
 	opFree     []*memOp
 	accScratch []coalesce.Access
+	step       emu.Step // the record of the instruction being issued
 	lastIssue  int64
 
 	// Stall cache, used only under the fast-forward engine (the naive loop
